@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"privmdr/internal/consistency"
 	"privmdr/internal/dataset"
@@ -49,10 +51,12 @@ type hdgEstimator struct {
 	// prefix[pi] holds the prefix sums of pair pi's response matrix, built
 	// at most once by matOnce[pi] (the raw matrix is discarded once summed);
 	// matErr[pi] records a build failure. Reads are safe after the
-	// corresponding Once completes.
-	prefix  []*mathx.Prefix2D
-	matOnce []sync.Once
-	matErr  []error
+	// corresponding Once completes; matBuilt[pi] lets PrecomputeMatrices
+	// skip pairs already built without blocking on their Once.
+	prefix   []*mathx.Prefix2D
+	matOnce  []sync.Once
+	matErr   []error
+	matBuilt []atomic.Bool
 
 	// mu guards the convergence traces below. It is only ever taken when
 	// traces is set, keeping trace bookkeeping off the Answer hot path.
@@ -72,13 +76,14 @@ func newHDGEstimator(c, d, g1, g2 int, grids1 []*grid.Grid1D, grids2 []*grid.Gri
 	}
 	return &hdgEstimator{
 		c: c, d: d, G1: g1, G2: g2,
-		grids1:  grids1,
-		grids2:  grids2,
-		wu:      wu,
-		traces:  traces,
-		prefix:  make([]*mathx.Prefix2D, len(grids2)),
-		matOnce: make([]sync.Once, len(grids2)),
-		matErr:  make([]error, len(grids2)),
+		grids1:   grids1,
+		grids2:   grids2,
+		wu:       wu,
+		traces:   traces,
+		prefix:   make([]*mathx.Prefix2D, len(grids2)),
+		matOnce:  make([]sync.Once, len(grids2)),
+		matErr:   make([]error, len(grids2)),
+		matBuilt: make([]atomic.Bool, len(grids2)),
 	}
 }
 
@@ -125,42 +130,59 @@ func postProcessHybrid(d int, grids1 []*grid.Grid1D, grids2 []*grid.Grid2D, roun
 // building them at most once (Algorithm 1, fusing {G(j), G(k), G(j,k)}).
 // Safe for concurrent use: the first caller builds, everyone else waits.
 func (e *hdgEstimator) responseMatrix(pi int, a, b int) (*mathx.Prefix2D, error) {
-	e.matOnce[pi].Do(func() { e.buildResponseMatrix(pi, a, b) })
+	e.matOnce[pi].Do(func() {
+		ms, traces, err := mwem.BuildResponseMatrices(e.c, e.constraintRects(), [][]float64{e.pairFreqs(pi, a, b)}, e.wu)
+		e.installMatrix(pi, ms, traces, 0, err)
+	})
 	if err := e.matErr[pi]; err != nil {
 		return nil, err
 	}
 	return e.prefix[pi], nil
 }
 
-// buildResponseMatrix runs Algorithm 1 for pair pi and memoizes the prefix
-// sums of the result. Called exactly once per pair via matOnce.
-func (e *hdgEstimator) buildResponseMatrix(pi int, a, b int) {
+// constraintRects is the Algorithm 1 constraint geometry every pair shares
+// (all attributes have the same c, g₁ and g₂): the first attribute's 1-D
+// cells as row strips, the second's as column strips, then the 2-D cells.
+func (e *hdgEstimator) constraintRects() []mwem.Rect {
 	c := e.c
-	var cells []mwem.CellConstraint
-	ga, gb, gab := e.grids1[a], e.grids1[b], e.grids2[pi]
-	for i, f := range ga.Freq {
-		lo, hi := ga.CellInterval(i)
-		cells = append(cells, mwem.CellConstraint{R0: lo, R1: hi, C0: 0, C1: c - 1, Freq: f})
+	g1, g2 := e.grids1[0], e.grids2[0]
+	rects := make([]mwem.Rect, 0, 2*len(g1.Freq)+len(g2.Freq))
+	for i := range g1.Freq {
+		lo, hi := g1.CellInterval(i)
+		rects = append(rects, mwem.Rect{R0: lo, R1: hi, C0: 0, C1: c - 1})
 	}
-	for i, f := range gb.Freq {
-		lo, hi := gb.CellInterval(i)
-		cells = append(cells, mwem.CellConstraint{R0: 0, R1: c - 1, C0: lo, C1: hi, Freq: f})
+	for i := range g1.Freq {
+		lo, hi := g1.CellInterval(i)
+		rects = append(rects, mwem.Rect{R0: 0, R1: c - 1, C0: lo, C1: hi})
 	}
-	for i, f := range gab.Freq {
-		r0, r1, c0, c1 := gab.CellRect(i)
-		cells = append(cells, mwem.CellConstraint{R0: r0, R1: r1, C0: c0, C1: c1, Freq: f})
+	for i := range g2.Freq {
+		r0, r1, c0, c1 := g2.CellRect(i)
+		rects = append(rects, mwem.Rect{R0: r0, R1: r1, C0: c0, C1: c1})
 	}
-	m, trace, err := mwem.BuildResponseMatrix(c, cells, e.wu)
+	return rects
+}
+
+// pairFreqs returns pair pi's constraint frequencies in constraintRects
+// order: G(a), G(b), then G(a,b).
+func (e *hdgEstimator) pairFreqs(pi int, a, b int) []float64 {
+	ga, gb, gab := e.grids1[a].Freq, e.grids1[b].Freq, e.grids2[pi].Freq
+	return slices.Concat(ga, gb, gab)
+}
+
+// installMatrix memoizes pair pi's response matrix from lane i of an
+// Algorithm 1 call (or the call's error). Called only inside matOnce[pi].
+func (e *hdgEstimator) installMatrix(pi int, ms, traces [][]float64, i int, err error) {
+	defer e.matBuilt[pi].Store(true)
 	if err != nil {
 		e.matErr[pi] = err
 		return
 	}
 	if e.traces {
 		e.mu.Lock()
-		e.Alg1Traces = append(e.Alg1Traces, trace)
+		e.Alg1Traces = append(e.Alg1Traces, traces[i])
 		e.mu.Unlock()
 	}
-	p, err := mathx.NewPrefix2D(m, c, c)
+	p, err := mathx.NewPrefix2D(ms[i], e.c, e.c)
 	if err != nil {
 		e.matErr[pi] = err
 		return
@@ -170,9 +192,27 @@ func (e *hdgEstimator) buildResponseMatrix(pi int, a, b int) {
 
 // PrecomputeMatrices builds every pair's response matrix up front instead of
 // on first use — the warm-up a long-lived query server performs before
-// taking traffic (Options.EagerMatrices runs it at Finalize).
+// taking traffic (Options.EagerMatrices runs it at Finalize). The pairs not
+// yet built go through one batched Algorithm 1 call, installed in pair
+// order; a pair a concurrent query built first keeps that (bit-identical)
+// build.
 func (e *hdgEstimator) PrecomputeMatrices() error {
-	for pi, pair := range mech.AllPairs(e.d) {
+	pairs := mech.AllPairs(e.d)
+	var todo []int
+	var freqs [][]float64
+	for pi, pair := range pairs {
+		if !e.matBuilt[pi].Load() {
+			todo = append(todo, pi)
+			freqs = append(freqs, e.pairFreqs(pi, pair[0], pair[1]))
+		}
+	}
+	if len(todo) > 0 {
+		ms, traces, err := mwem.BuildResponseMatrices(e.c, e.constraintRects(), freqs, e.wu)
+		for i, pi := range todo {
+			e.matOnce[pi].Do(func() { e.installMatrix(pi, ms, traces, i, err) })
+		}
+	}
+	for pi, pair := range pairs {
 		if _, err := e.responseMatrix(pi, pair[0], pair[1]); err != nil {
 			return err
 		}

@@ -45,9 +45,9 @@ type Folder struct {
 
 // NewFolder returns the streaming statistic for a counting oracle. Every
 // oracle this package constructs (GRR, OLH, Hadamard — and therefore
-// anything NewAdaptive or NewAuto returns) supports it; a non-counting
-// oracle from outside the package is reported as an error so callers can
-// fall back to retaining reports.
+// anything NewAuto returns) supports it; a non-counting oracle from outside
+// the package is reported as an error so callers can fall back to retaining
+// reports.
 func NewFolder(o Oracle) (*Folder, error) {
 	switch o := o.(type) {
 	case *GRR:

@@ -2,7 +2,12 @@
 // (Arora/Hardt-style multiplicative weights):
 //
 //   - Algorithm 1 — building the c×c response matrix M^(j,k) for an
-//     attribute pair from the three grids {G(j), G(k), G(j,k)} (Section 4.3);
+//     attribute pair from the three grids {G(j), G(k), G(j,k)} (Section 4.3).
+//     BuildResponseMatrices runs it for any number of pairs sharing one
+//     constraint geometry in a single call on one goroutine: pairs are
+//     interleaved lanes, each matrix is held as one value per block of the
+//     rectangles' common refinement, and every lane is bit-identical to the
+//     per-cell loop (kept in the tests as the oracle), trace included;
 //   - Algorithm 2 — estimating the answer of a λ-D range query from its
 //     (λ choose 2) associated 2-D answers (Section 4.4);
 //
@@ -52,65 +57,6 @@ func (o Options) withDefaults() Options {
 		o.Tol = 1e-6
 	}
 	return o
-}
-
-// CellConstraint is one grid cell's contribution to Algorithm 1: the
-// inclusive value rectangle the cell covers in the pair's [0,c)×[0,c) domain
-// (1-D cells span the full range of the other attribute) and the cell's
-// post-processed frequency.
-type CellConstraint struct {
-	R0, R1, C0, C1 int
-	Freq           float64
-}
-
-// BuildResponseMatrix runs Algorithm 1: starting from the uniform matrix it
-// repeatedly rescales each constraint's rectangle so its mass matches the
-// cell frequency, until the per-sweep L1 change drops below opts.Tol.
-// It returns the c×c matrix (row-major; rows = first attribute) and the
-// per-sweep change trace.
-func BuildResponseMatrix(c int, cells []CellConstraint, opts Options) ([]float64, []float64, error) {
-	if c < 1 {
-		return nil, nil, fmt.Errorf("mwem: domain size %d < 1", c)
-	}
-	opts = opts.withDefaults()
-	m := make([]float64, c*c)
-	init := 1 / float64(c*c)
-	for i := range m {
-		m[i] = init
-	}
-	var trace []float64
-	for iter := 0; iter < opts.MaxIters; iter++ {
-		change := 0.0
-		for _, s := range cells {
-			y := 0.0
-			for r := s.R0; r <= s.R1; r++ {
-				row := m[r*c : r*c+c]
-				for col := s.C0; col <= s.C1; col++ {
-					y += row[col]
-				}
-			}
-			if y == 0 {
-				continue
-			}
-			factor := s.Freq / y
-			if factor == 1 {
-				continue
-			}
-			for r := s.R0; r <= s.R1; r++ {
-				row := m[r*c : r*c+c]
-				for col := s.C0; col <= s.C1; col++ {
-					old := row[col]
-					row[col] = old * factor
-					change += math.Abs(row[col] - old)
-				}
-			}
-		}
-		trace = append(trace, change)
-		if change < opts.Tol {
-			break
-		}
-	}
-	return m, trace, nil
 }
 
 // PairAnswer is the input to Algorithm 2: the answer F of the 2-D range
